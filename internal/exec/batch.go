@@ -3,6 +3,7 @@ package exec
 import (
 	"repro/internal/datum"
 	"repro/internal/obsv"
+	"repro/internal/optimizer"
 	"repro/internal/storage"
 )
 
@@ -88,6 +89,16 @@ func (b *Batch) gather(r int, buf Row) {
 
 // reset prepares the batch to carry up to capacity physical rows of the
 // given width, reusing the column vectors from previous calls.
+//
+// Capacity follows what the producer knows about its output, never a fixed
+// batchSize × width per Open: a one-row point read must not pay for a
+// thousand-row batch. Known-size producers (scans, sort and aggregate
+// output) pass min(batchSize, rows still to emit). Producers whose output
+// size is unknown (joins, the row-source bridge) pass estCapacity — the
+// optimizer's cardinality estimate capped at batchSize — and call grow
+// before every write. Column vectors are kept at their largest size, so a
+// producer whose batches shrink never reallocates. Batches are not pooled
+// across executions.
 func (b *Batch) reset(width, capacity int) {
 	if len(b.Cols) != width {
 		b.Cols = make([][]datum.Datum, width)
@@ -102,8 +113,26 @@ func (b *Batch) reset(width, capacity int) {
 	b.N = 0
 }
 
+// grow makes room for one more physical row when the batch is full,
+// doubling its capacity up to limit while keeping the first N rows (and
+// Sel, which indexes them). The caller stops writing once N reaches limit.
+func (b *Batch) grow(limit int) {
+	if len(b.Cols) == 0 || b.N < len(b.Cols[0]) {
+		return
+	}
+	n := min(max(2*b.N, 1), limit)
+	for c, col := range b.Cols {
+		if cap(col) < n {
+			wider := make([]datum.Datum, n)
+			copy(wider, col[:b.N])
+			col = wider
+		}
+		b.Cols[c] = col[:n]
+	}
+}
+
 // appendRow adds one dense row (physical == logical) to the batch. The
-// batch must have been reset with enough capacity.
+// batch must have room for it (reset with enough capacity, or grow).
 func (b *Batch) appendRow(r Row) {
 	for c := range b.Cols {
 		b.Cols[c][b.N] = r[c]
@@ -165,6 +194,7 @@ func (it *RowIter) Close() error { return it.src.Close() }
 type rowSourceIter struct {
 	e     *env
 	child iterator
+	node  optimizer.PlanNode // the bridged node, for its estimate
 	width int
 	b     Batch
 }
@@ -175,7 +205,7 @@ func (it *rowSourceIter) NextBatch() (*Batch, error) {
 	if err := it.e.checkCancelBatch(); err != nil {
 		return nil, err
 	}
-	it.b.reset(it.width, it.e.batchSize)
+	it.b.reset(it.width, it.e.estCapacity(it.node))
 	for it.b.N < it.e.batchSize {
 		r, err := it.child.Next()
 		if err != nil {
@@ -184,6 +214,7 @@ func (it *rowSourceIter) NextBatch() (*Batch, error) {
 		if r == nil {
 			break
 		}
+		it.b.grow(it.e.batchSize)
 		it.b.appendRow(r)
 	}
 	if it.b.N == 0 {

@@ -520,7 +520,21 @@ func buildBatchNode(e *env, n optimizer.PlanNode) (batchIterator, error) {
 
 // newRowSource bridges a row operator back into a batch plan.
 func newRowSource(e *env, n optimizer.PlanNode, it iterator) *rowSourceIter {
-	return &rowSourceIter{e: e, child: it, width: len(n.Columns())}
+	return &rowSourceIter{e: e, child: it, node: n, width: len(n.Columns())}
+}
+
+// estCapacity is the initial batch capacity of a producer that cannot know
+// its output size: the optimizer's row estimate for n, capped at batchSize.
+// The producer grows the batch from there (Batch.grow).
+func (e *env) estCapacity(n optimizer.PlanNode) int {
+	rows := n.Cost().Rows
+	switch {
+	case !(rows >= 1): // below one row, or NaN
+		return 0
+	case rows >= float64(e.batchSize):
+		return e.batchSize
+	}
+	return int(rows)
 }
 
 // rowKey renders a row as a grouping key (nulls match nulls).

@@ -92,7 +92,7 @@ func (it *batchAggIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	width := len(it.n.Columns())
-	it.b.reset(width, it.e.batchSize)
+	it.b.reset(width, min(it.e.batchSize, len(it.out)-it.pos))
 	for it.b.N < it.e.batchSize && it.pos < len(it.out) {
 		it.b.appendRow(it.out[it.pos])
 		it.pos++

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
@@ -58,6 +59,143 @@ var boundaryQueries = []string{
 	 WHERE rownum <= 7`,
 }
 
+// lateEmployees is how many EMPLOYEES rows boundaryDB commits after the
+// statistics were gathered: more than one default batch, so output made of
+// them alone crosses the 1024-row boundary.
+const lateEmployees = 1100
+
+// boundaryDB builds the boundary dataset, then commits lateEmployees rows
+// to EMPLOYEES without re-analyzing, the way rows written since the last
+// ANALYZE look to the optimizer. They all belong to department 1 and earn
+// far above the analyzed maximum salary, so predicates on them are
+// estimated at zero rows and department 1 has far more employees than the
+// others.
+func boundaryDB(t *testing.T) *storage.DB {
+	t.Helper()
+	db := testkit.NewDB(boundarySizes(), 3)
+	wb := db.NewBatch()
+	for i := 0; i < lateEmployees; i++ {
+		row := []datum.Datum{
+			datum.NewInt(int64(100001 + i)),            // EMP_ID
+			datum.NewString(fmt.Sprintf("late_%d", i)), // EMPLOYEE_NAME
+			datum.NewInt(1),                            // DEPT_ID
+			datum.NewFloat(2e6),                        // SALARY
+			datum.Null,                                 // MGR_ID
+			datum.NewInt(1),                            // JOB_ID
+			datum.NewString("2020-01-01"),              // HIRE_DATE
+		}
+		if err := wb.Insert("EMPLOYEES", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Commit(wb); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// growthCase drives an estimate-seeded producer — hash or nested-loops
+// join output, or the row-source bridge under a window function or set
+// operation — away from the batch capacity it starts at. ok pins the
+// estimate-vs-output shape the case exists for: est is the optimizer's row
+// estimate for the topmost such producer, rows the query's output, so a
+// planner change that retires a case fails TestGrowthCaseShapes instead
+// of quietly testing something else.
+type growthCase struct {
+	shape string
+	sql   string
+	ok    func(est float64, rows int) bool
+}
+
+var growthCases = []growthCase{
+	{
+		shape: "hash join output far above its estimate, crossing 1024 from a small start",
+		sql: `SELECT e.emp_id, d.dept_id FROM employees e, departments d
+		 WHERE e.dept_id = d.dept_id AND e.employee_name LIKE 'emp%'`,
+		ok: func(est float64, rows int) bool { return est < 256 && rows > 2*1024 },
+	},
+	{
+		shape: "join whose estimate is below one row, so its output starts at capacity 0",
+		sql: `SELECT e.emp_id, d.department_name FROM employees e, departments d
+		 WHERE e.dept_id = d.dept_id AND e.salary > 1000000`,
+		ok: func(est float64, rows int) bool { return est < 1 && rows > 1024 },
+	},
+	{
+		shape: "join whose estimate is far above its output",
+		sql: `SELECT e.emp_id, d.department_name FROM employees e, departments d
+		 WHERE e.dept_id = d.dept_id AND e.employee_name LIKE 'emp_77'`,
+		ok: func(est float64, rows int) bool { return est >= 100 && rows >= 1 && float64(rows) < est/50 },
+	},
+	{
+		shape: "lateral nested-loops join whose per-row match count varies",
+		sql: `SELECT d.dept_id, e.emp_id FROM departments d, employees e
+		 WHERE e.dept_id = d.dept_id AND d.dept_id < 4`,
+		ok: func(est float64, rows int) bool { return rows > lateEmployees },
+	},
+	{
+		shape: "outer nested-loops join mixing a >1024-match probe with padded rows",
+		sql: `SELECT d.dept_id, e.emp_id FROM departments d LEFT OUTER JOIN employees e
+		 ON e.dept_id = d.dept_id AND e.salary > 1000000 WHERE d.dept_id < 6`,
+		ok: func(est float64, rows int) bool { return rows == lateEmployees+4 },
+	},
+	{
+		shape: "window output crossing 1024 from a small estimate",
+		sql: `SELECT e.emp_id, ROW_NUMBER() OVER (ORDER BY e.emp_id) FROM employees e
+		 WHERE e.employee_name LIKE 'emp%'`,
+		ok: func(est float64, rows int) bool { return est < 256 && rows > 2*1024 },
+	},
+	{
+		shape: "set operation output crossing 1024 from a small estimate",
+		sql: `SELECT e.emp_id FROM employees e WHERE e.employee_name LIKE 'emp%'
+		 UNION ALL SELECT s.sale_id FROM sales s WHERE s.country_id LIKE '%'`,
+		ok: func(est float64, rows int) bool { return est < 256 && rows > 2*1024 },
+	},
+	{
+		shape: "set operation whose inputs are estimated at zero rows",
+		sql: `SELECT e.emp_id FROM employees e WHERE e.salary > 1000000
+		 UNION SELECT e.emp_id FROM employees e WHERE e.salary > 1500000`,
+		ok: func(est float64, rows int) bool { return est <= 1 && rows == lateEmployees },
+	},
+}
+
+// seededProducer returns the topmost plan node whose batch operator sizes
+// its output from the optimizer's estimate: a join, window or set
+// operation.
+func seededProducer(n optimizer.PlanNode) optimizer.PlanNode {
+	switch n.(type) {
+	case *optimizer.Join, *optimizer.Window, *optimizer.SetNode:
+		return n
+	}
+	for _, c := range n.Children() {
+		if p := seededProducer(c); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// TestGrowthCaseShapes checks that every growth case still plans and
+// produces the estimate-vs-output shape it was written for.
+func TestGrowthCaseShapes(t *testing.T) {
+	db := boundaryDB(t)
+	for _, gc := range growthCases {
+		plan := planSQL(t, db, gc.sql)
+		p := seededProducer(plan.Root)
+		if p == nil {
+			t.Errorf("%s: no join, window or set operation in the plan\n%s", gc.shape, optimizer.Explain(plan))
+			continue
+		}
+		res, err := exec.RunWith(context.Background(), db, plan, exec.Options{RowExec: true})
+		if err != nil {
+			t.Fatalf("%s: %v", gc.shape, err)
+		}
+		if est := p.Cost().Rows; !gc.ok(est, len(res.Rows)) {
+			t.Errorf("%s: estimate %.1f, %d rows no longer fit the case\n%s",
+				gc.shape, est, len(res.Rows), optimizer.Explain(plan))
+		}
+	}
+}
+
 // boundaryBatchSizes are the edge capacities: single-row batches, one off
 // either side of the default, and the default itself.
 var boundaryBatchSizes = []int{1, 2, 3, 1023, 1024, 1025}
@@ -85,14 +223,18 @@ func sortedRows(res *exec.Result) []string {
 	return out
 }
 
-// TestBatchBoundaries runs every boundary query at every edge batch size
-// and requires results identical to the row engine's. Any off-by-one in
-// batch fill, selection-vector refinement, mid-batch limit cuts or
-// empty-input handling shows up as a row diff.
+// TestBatchBoundaries runs every boundary query and growth case at every
+// edge batch size and requires results identical to the row engine's. Any
+// off-by-one in batch fill or growth, selection-vector refinement,
+// mid-batch limit cuts or empty-input handling shows up as a row diff.
 func TestBatchBoundaries(t *testing.T) {
-	db := testkit.NewDB(boundarySizes(), 3)
+	db := boundaryDB(t)
 	ctx := context.Background()
-	for qi, sql := range boundaryQueries {
+	queries := append([]string(nil), boundaryQueries...)
+	for _, gc := range growthCases {
+		queries = append(queries, gc.sql)
+	}
+	for qi, sql := range queries {
 		plan := planSQL(t, db, sql)
 		ref, err := exec.RunWith(ctx, db, plan, exec.Options{RowExec: true})
 		if err != nil {

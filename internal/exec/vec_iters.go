@@ -51,7 +51,7 @@ func (it *batchSeqScanIter) NextBatch() (*Batch, error) {
 		if it.pos >= len(it.tbl.Rows) {
 			return nil, nil
 		}
-		it.b.reset(it.width, it.e.batchSize)
+		it.b.reset(it.width, min(it.e.batchSize, len(it.tbl.Rows)-it.pos))
 		rowidCol := it.width - 1
 		for it.b.N < it.e.batchSize && it.pos < len(it.tbl.Rows) {
 			if !it.tbl.Visible(it.pos) {
@@ -122,7 +122,7 @@ func (it *batchIndexScanIter) NextBatch() (*Batch, error) {
 		if it.pos >= len(it.match) {
 			return nil, nil
 		}
-		it.b.reset(it.width, it.e.batchSize)
+		it.b.reset(it.width, min(it.e.batchSize, len(it.match)-it.pos))
 		rowidCol := it.width - 1
 		for it.b.N < it.e.batchSize && it.pos < len(it.match) {
 			rowid := it.match[it.pos]
@@ -306,7 +306,7 @@ func (it *batchSortIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	width := len(it.n.Child.Columns())
-	it.out.reset(width, it.e.batchSize)
+	it.out.reset(width, min(it.e.batchSize, len(it.rows)-it.pos))
 	for it.out.N < it.e.batchSize && it.pos < len(it.rows) {
 		it.out.appendRow(it.rows[it.pos])
 		it.pos++

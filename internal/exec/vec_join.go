@@ -416,6 +416,7 @@ func (it *batchHashJoinIter) verdict(b *Batch, r int) (bool, error) {
 
 // emitComb appends probe row r combined with build row ri to the output.
 func (it *batchHashJoinIter) emitComb(r, ri int) {
+	it.out.grow(it.e.batchSize)
 	for c := 0; c < it.nLeft; c++ {
 		it.out.Cols[c][it.out.N] = it.cur.Cols[c][r]
 	}
@@ -427,6 +428,7 @@ func (it *batchHashJoinIter) emitComb(r, ri int) {
 
 // emitLeftPad appends probe row r padded with right NULLs (left/full outer).
 func (it *batchHashJoinIter) emitLeftPad(r int) {
+	it.out.grow(it.e.batchSize)
 	for c := 0; c < it.nLeft; c++ {
 		it.out.Cols[c][it.out.N] = it.cur.Cols[c][r]
 	}
@@ -439,6 +441,7 @@ func (it *batchHashJoinIter) emitLeftPad(r int) {
 // emitRightPad appends unmatched build row ri padded with left NULLs (full
 // outer tail).
 func (it *batchHashJoinIter) emitRightPad(ri int) {
+	it.out.grow(it.e.batchSize)
 	for c := 0; c < it.nLeft; c++ {
 		it.out.Cols[c][it.out.N] = datum.Null
 	}
@@ -455,7 +458,7 @@ func (it *batchHashJoinIter) nextCombineBatch() (*Batch, error) {
 		return nil, nil
 	}
 	outerPad := it.n.Kind == qtree.JoinLeftOuter || it.n.Kind == qtree.JoinFullOuter
-	it.out.reset(it.nLeft+it.nRight, it.e.batchSize)
+	it.out.reset(it.nLeft+it.nRight, it.e.estCapacity(it.n))
 	for {
 		if it.out.N == it.e.batchSize {
 			return &it.out, nil

@@ -191,6 +191,7 @@ func (it *batchNLJoinIter) onMatch(rid int32) (bool, error) {
 
 // emit appends the current left row combined with right row rid.
 func (it *batchNLJoinIter) emit(rid int32) {
+	it.out.grow(it.e.batchSize)
 	for c := 0; c < it.nLeft; c++ {
 		it.out.Cols[c][it.out.N] = it.comb[c]
 	}
@@ -204,6 +205,7 @@ func (it *batchNLJoinIter) emit(rid int32) {
 
 // emitLeftPad appends the current left row padded with right NULLs.
 func (it *batchNLJoinIter) emitLeftPad() {
+	it.out.grow(it.e.batchSize)
 	for c := 0; c < it.nLeft; c++ {
 		it.out.Cols[c][it.out.N] = it.comb[c]
 	}
@@ -221,7 +223,7 @@ func (it *batchNLJoinIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	outerPad := it.n.Kind == qtree.JoinLeftOuter
-	it.out.reset(it.nLeft+it.nRight, it.e.batchSize)
+	it.out.reset(it.nLeft+it.nRight, it.e.estCapacity(it.n))
 	for {
 		if it.out.N == it.e.batchSize {
 			return &it.out, nil

@@ -227,17 +227,22 @@ func (c *Cache) Invalidate(version int64) int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		removed := 0
 		for ks, e := range s.entries {
 			if e.key.Version < version {
 				delete(s.entries, ks)
 				s.ring[e.slot] = nil
-				n++
+				removed++
 			}
 		}
+		// Settle the count under the shard lock: an insert racing into a
+		// freed slot after the unlock must see the removal already counted,
+		// or Len overshoots the capacity.
+		c.entries.Set(c.count.Add(int64(-removed)))
 		s.mu.Unlock()
+		n += removed
 	}
 	c.invalidations.Add(int64(n))
-	c.entries.Set(c.count.Add(int64(-n)))
 	return n
 }
 
