@@ -67,6 +67,9 @@ func TestChaosSoak(t *testing.T) {
 	proxy, err := chaosnet.Start(chaosnet.Config{
 		Target: addr, Seed: 42, FaultEvery: 3,
 		Delay: 30 * time.Millisecond, Registry: reg,
+		// Binary frames are small: most connections here end well before
+		// the default 4096-byte offset bound, where no fault would fire.
+		MaxFaultBytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,10 +173,11 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	var resp Response
 	if err := ReadFrame(c.r, &resp); err != nil {
 		c.fail()
-		// ReadFrame wraps mid-frame failures ("short frame"); a bare
-		// error means the 4-byte header never arrived, i.e. the reset
-		// happened before the first response byte.
-		beforeResponse := !errors.Is(err, io.ErrUnexpectedEOF) && !isWrapped(err)
+		// ReadFrame wraps every failure after the header in
+		// ErrBrokenFrame and a partial header is io.ErrUnexpectedEOF;
+		// anything else means the reset happened before the first
+		// response byte.
+		beforeResponse := !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrBrokenFrame)
 		return nil, transportError(err, beforeResponse)
 	}
 	if !resp.OK {
@@ -201,13 +202,6 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, err
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	return c.roundTrip(req)
-}
-
-// isWrapped reports whether the frame error came from inside a frame
-// (ReadFrame's decorated errors) rather than the bare header read.
-func isWrapped(err error) bool {
-	s := err.Error()
-	return len(s) > 8 && s[:8] == "server: "
 }
 
 // transportError wraps a client-side transport failure as a typed *Error.
@@ -341,8 +335,7 @@ func (s *Stmt) Fetch(maxRows int) ([][]datum.Datum, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	rows, err := decodeRows(resp.Rows)
-	return rows, resp.Done, err
+	return decodeRows(resp.Rows), resp.Done, nil
 }
 
 // FetchAll drains the cursor.
@@ -425,11 +418,7 @@ func (c *Client) queryOnce(ctx context.Context, sql string, binds []BindValue) (
 		if err != nil {
 			return nil, err
 		}
-		batch, err := decodeRows(fresp.Rows)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, batch...)
+		all = append(all, decodeRows(fresp.Rows)...)
 		if fresp.Done {
 			return all, nil
 		}
@@ -503,20 +492,23 @@ func (c *Client) Close() error {
 	return closeErr
 }
 
-func decodeRows(rows [][]WireDatum) ([][]datum.Datum, error) {
-	out := make([][]datum.Datum, len(rows))
-	for i, wr := range rows {
-		row := make([]datum.Datum, len(wr))
-		for j, wd := range wr {
-			d, err := wd.Decode()
-			if err != nil {
-				return nil, fmt.Errorf("server: row %d col %d: %w", i, j, err)
-			}
-			row[j] = d
-		}
-		out[i] = row
+// decodeRows converts a fetched page to datums; the page's rows slice one
+// cell array.
+func decodeRows(rows [][]WireDatum) [][]datum.Datum {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
 	}
-	return out, nil
+	cells := make([]datum.Datum, 0, n)
+	out := make([][]datum.Datum, len(rows))
+	for i, row := range rows {
+		k := len(cells)
+		for _, wd := range row {
+			cells = append(cells, wd.Datum)
+		}
+		out[i] = cells[k:len(cells):len(cells)]
+	}
+	return out
 }
 
 // Named builds a named bind value.

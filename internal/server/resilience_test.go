@@ -423,7 +423,7 @@ func TestStalledReaderSeveredByWriteDeadline(t *testing.T) {
 	}
 	resp := rs.call(t, &Request{Verb: VerbExecute, SQL: `
 		SELECT e.EMP_ID, e.EMPLOYEE_NAME, e.SALARY, e2.EMP_ID, e2.EMPLOYEE_NAME, e2.SALARY
-		FROM employees e, employees e2`})
+		FROM employees e, employees e2, locations l`})
 	if !resp.OK {
 		t.Fatalf("cross-join execute: %s", resp.Error)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strings"
@@ -611,5 +612,39 @@ func TestMetricsVerb(t *testing.T) {
 	}
 	if sess == nil || sess.Executes != 1 || sess.Fetches == 0 {
 		t.Fatalf("session stats = %+v", sess)
+	}
+}
+
+// TestNonFiniteFloatsCrossTheWire: a product that overflows to +Inf during
+// execution reaches the client as a row instead of killing the session,
+// and ±Inf, NaN and -0.0 binds come back bit for bit.
+func TestNonFiniteFloatsCrossTheWire(t *testing.T) {
+	_, addr, stop := startServer(t, Config{})
+	defer stop()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	rows, err := c.Query("SELECT e.salary * :big * :big FROM employees e WHERE e.emp_id = 1",
+		Named("big", datum.NewFloat(1e300)))
+	if err != nil {
+		t.Fatalf("overflowing query: %v", err)
+	}
+	if len(rows) != 1 || !math.IsInf(rows[0][0].Float(), 1) {
+		t.Fatalf("overflowing query returned %v, want one +Inf row", rows)
+	}
+	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)} {
+		rows, err := c.Query("SELECT :v FROM employees e WHERE e.emp_id = 1", Named("v", datum.NewFloat(f)))
+		if err != nil {
+			t.Fatalf("bind %v: %v", f, err)
+		}
+		if len(rows) != 1 || rows[0][0].Kind() != datum.KFloat {
+			t.Fatalf("bind %v returned %v, want one float row", f, rows)
+		}
+		if g := rows[0][0].Float(); math.Float64bits(g) != math.Float64bits(f) {
+			t.Fatalf("bind %v came back as %v (bits %#x)", f, g, math.Float64bits(g))
+		}
 	}
 }

@@ -326,10 +326,6 @@ func (ss *session) lookup(id int64) (*stmt, error) {
 func applyBinds(st *stmt, binds []BindValue) error {
 	next := 0
 	for _, b := range binds {
-		d, err := b.Value.Decode()
-		if err != nil {
-			return err
-		}
 		ord := -1
 		if b.Name == "" {
 			for next < len(st.params) && st.bound[next] {
@@ -351,7 +347,7 @@ func applyBinds(st *stmt, binds []BindValue) error {
 				return fmt.Errorf("server: no parameter :%s (have %s)", b.Name, strings.Join(st.params, ", "))
 			}
 		}
-		st.binds[ord] = d
+		st.binds[ord] = b.Value.Datum
 		st.bound[ord] = true
 	}
 	return nil
@@ -581,9 +577,20 @@ func (ss *session) fetch(req *Request) (*Response, error) {
 	if end > len(st.cursor) {
 		end = len(st.cursor)
 	}
-	batch := make([][]WireDatum, 0, end-st.pos)
-	for _, row := range st.cursor[st.pos:end] {
-		batch = append(batch, EncodeRow(row))
+	// The page's rows slice one cell array.
+	rows := st.cursor[st.pos:end]
+	ncells := 0
+	for _, row := range rows {
+		ncells += len(row)
+	}
+	cells := make([]WireDatum, 0, ncells)
+	batch := make([][]WireDatum, len(rows))
+	for i, row := range rows {
+		k := len(cells)
+		for _, d := range row {
+			cells = append(cells, WireDatum{d})
+		}
+		batch[i] = cells[k:len(cells):len(cells)]
 	}
 	st.pos = end
 	done := st.pos >= len(st.cursor)
